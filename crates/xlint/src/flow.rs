@@ -375,7 +375,7 @@ mod tests {
             .iter()
             .map(|(rel, src)| {
                 let toks = lex(src);
-                (rel.clone(), extract(src, &toks, lints::is_test_file(rel)), mask(src))
+                (rel.clone(), extract(src, &toks, lints::is_test_file(rel)), mask(src, &toks))
             })
             .collect();
         let for_graph: Vec<(String, FileSyntax)> =

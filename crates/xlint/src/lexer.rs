@@ -1,14 +1,14 @@
 //! Hand-written, zero-dependency token lexer for Rust source.
 //!
-//! Where `mask.rs` answers "is this byte code, comment, or string?",
-//! the lexer answers "what token is this?" — producing a flat stream of
-//! spanned tokens the item extractor (`syntax.rs`) and the call graph
-//! (`callgraph.rs`) are built on. The two scanners are written
-//! independently on purpose and must agree on classification;
-//! `tests/prop_lexer.rs` pins that agreement over generated adversarial
-//! sources (nested block comments, raw strings, char-vs-lifetime).
+//! The lexer is xlint's only scanner: it produces the flat stream of spanned
+//! tokens that the masked line views (`mask.rs`), the item extractor
+//! (`syntax.rs`) and the call graph (`callgraph.rs`) are all built from.
+//! `tests/lexer_mask.rs` checks its code/comment/literal classification, and
+//! the masked views built from it, against labels recorded while generating
+//! adversarial sources (nested block comments, raw strings,
+//! char-vs-lifetime).
 //!
-//! Deliberate simplifications, shared with `mask.rs`:
+//! Deliberate simplifications:
 //! * the char-vs-lifetime heuristic is lookahead-based (`'\...'` and
 //!   `'x'` are literals, anything else after `'` is a lifetime or a bare
 //!   quote), not parser-driven;
@@ -149,7 +149,7 @@ impl<'a> Lexer<'a> {
         self.out
     }
 
-    /// Nested block comment, `mask.rs` semantics: `/* /* */ still comment */`.
+    /// Nested block comment: `/* /* */ still comment */`.
     fn block_comment(&mut self, start: usize, line: usize) {
         let mut depth = 0u32;
         while self.pos < self.chars.len() {
@@ -194,7 +194,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Does a raw-string opener (`r"`, `r#"`, `br"`, `rb#"`, …) start here?
-    /// Mirrors `mask::is_raw_string_opener`, including the 2-char prefix cap.
+    /// The prefix is at most two chars and must contain an `r`.
     fn raw_string_opens(&self) -> bool {
         // A preceding ident char would have been consumed into an Ident token
         // before we ever look here, so no prev-char check is needed.
@@ -269,8 +269,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// `'` — char literal, lifetime, or bare quote, using the same lookahead
-    /// heuristic as `mask.rs`: `'\…'` and `'x'` are literals.
+    /// `'` — char literal, lifetime, or bare quote, by lookahead: `'\…'` and
+    /// `'x'` are literals.
     fn quote(&mut self, start: usize, line: usize) {
         if self.peek(1) == '\\' || (self.peek(1) != '\0' && self.peek(2) == '\'') {
             self.bump(); // opening quote
@@ -311,8 +311,8 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Classification of one source char, for agreement checks against the
-/// masked views.
+/// Classification of one source char: the per-char view of the token
+/// stream that the masked lines are built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CharClass {
     /// Plain code, literal framing (quotes/prefixes/hashes), whitespace.

@@ -18,10 +18,8 @@ pub mod lexer;
 pub mod lints;
 pub mod mask;
 pub mod report;
-pub mod syntax;
-
-pub mod cache;
 pub mod sarif;
+pub mod syntax;
 
 pub use config::{BaselineEntry, Config, ConfigError};
 pub use lints::{lint_file, FileReport, Finding, Lint, Waived};
@@ -72,23 +70,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Options for a lint run.
-#[derive(Debug, Default, Clone)]
-pub struct RunOptions {
-    /// Where to read/write the incremental per-file cache. `None` disables
-    /// caching entirely (every library entry point defaults to `None`; the
-    /// CLI turns it on under `target/`).
-    pub cache_path: Option<PathBuf>,
-}
-
 /// Engine counters for `--stats`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Stats {
     /// Files walked.
     pub files: usize,
-    /// Per-file cache hits / misses for this run (both zero when disabled).
-    pub cache_hits: usize,
-    pub cache_misses: usize,
     /// Call-graph size and call-resolution precision ledger.
     pub graph: callgraph::GraphStats,
 }
@@ -115,10 +101,6 @@ impl Stats {
             g.unmatched_method,
             g.unresolved
         ));
-        out.push_str(&format!(
-            "  cache: {} hit(s), {} miss(es)\n",
-            self.cache_hits, self.cache_misses
-        ));
         if let Some(ms) = wall_ms {
             out.push_str(&format!("  wall time: {ms} ms\n"));
         }
@@ -130,12 +112,12 @@ impl Stats {
 /// apply the baseline. This is the whole programmatic entry point; the CLI
 /// and the workspace test are thin wrappers over it.
 pub fn run_root(root: &Path) -> Result<(Report, Config), String> {
-    let (report, cfg, _) = run_root_opts(root, &RunOptions::default())?;
+    let (report, cfg, _) = run_root_opts(root)?;
     Ok((report, cfg))
 }
 
-/// [`run_root`] with explicit options, also returning engine stats.
-pub fn run_root_opts(root: &Path, opts: &RunOptions) -> Result<(Report, Config, Stats), String> {
+/// [`run_root`], also returning engine stats.
+pub fn run_root_opts(root: &Path) -> Result<(Report, Config, Stats), String> {
     let cfg_path = root.join("xlint.toml");
     let cfg = if cfg_path.is_file() {
         let text = std::fs::read_to_string(&cfg_path).map_err(|e| e.to_string())?;
@@ -143,13 +125,13 @@ pub fn run_root_opts(root: &Path, opts: &RunOptions) -> Result<(Report, Config, 
     } else {
         Config::default()
     };
-    let (report, stats) = run_with_config_opts(root, &cfg, opts)?;
+    let (report, stats) = run_with_config_opts(root, &cfg)?;
     Ok((report, cfg, stats))
 }
 
-/// Lint the tree under `root` with an explicit config (no cache).
+/// Lint the tree under `root` with an explicit config.
 pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
-    run_with_config_opts(root, cfg, &RunOptions::default()).map(|(r, _)| r)
+    run_with_config_opts(root, cfg).map(|(r, _)| r)
 }
 
 /// Run the per-file lints plus the cross-file flow pass (X012–X014) over a
@@ -157,85 +139,83 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
 /// golden fixtures use: the flow lints need multiple virtual files (a
 /// modeled caller plus an out-of-scope dependency) without a tree on disk.
 pub fn lint_flow_files(files: &[(&str, &str)], cfg: &Config) -> Report {
-    let analyzed: Vec<(String, lints::FileAnalysis)> = files
+    let per: Vec<PerFile> = files
         .iter()
-        .map(|(rel, src)| (rel.to_string(), lints::analyze_file(rel, src, cfg)))
+        .map(|(rel, src)| PerFile {
+            rel: rel.to_string(),
+            source: src.to_string(),
+            analysis: lints::analyze_file(rel, src, cfg),
+        })
         .collect();
-    let mut report = Report::default();
-    for (_, a) in &analyzed {
-        report.active.extend(a.report.findings.iter().cloned());
-        report.waived.extend(a.report.waived.iter().cloned());
-    }
-    let graph_files: Vec<(String, syntax::FileSyntax)> =
-        analyzed.iter().map(|(rel, a)| (rel.clone(), a.syntax.clone())).collect();
-    let graph = callgraph::build(&graph_files, &std::collections::HashMap::new());
-    let flow_files: Vec<flow::FlowFile> = analyzed
-        .iter()
-        .map(|(rel, a)| flow::FlowFile { rel, lines: &a.lines, syntax: &a.syntax })
-        .collect();
-    let fr = flow::run(&flow_files, &graph, cfg);
-    report.active.extend(fr.findings);
-    report.waived.extend(fr.waived);
+    let mut report = per_file_report(&per);
+    flow_pass(&per, &std::collections::HashMap::new(), cfg, &mut report);
     report.normalize();
     report
 }
 
-/// Everything computed for one walked file.
+/// One walked file: its path, its source, and its per-file analysis.
 struct PerFile {
     rel: String,
     source: String,
-    content_hash: u64,
-    report: FileReport,
-    syntax: syntax::FileSyntax,
-    lines: Vec<mask::MaskedLine>,
-    cache_hit: bool,
+    analysis: lints::FileAnalysis,
 }
 
-/// Lint the tree under `root`: parallel per-file pass (cache-accelerated
-/// when enabled), then the cross-file passes — X008/X010, the workspace
-/// call graph, and the flow lints X012–X014.
-pub fn run_with_config_opts(
-    root: &Path,
-    cfg: &Config,
-    opts: &RunOptions,
-) -> Result<(Report, Stats), String> {
-    let files = collect_files(root, cfg).map_err(|e| format!("walking {root:?}: {e}"))?;
-    let cfg_hash = cache::config_hash(cfg);
-    let warm = opts.cache_path.as_ref().map(|p| cache::load(p, cfg_hash));
+/// The per-file findings and waivers, in walk order.
+fn per_file_report(per: &[PerFile]) -> Report {
+    let mut report = Report::default();
+    for p in per {
+        report.active.extend(p.analysis.report.findings.iter().cloned());
+        report.waived.extend(p.analysis.report.waived.iter().cloned());
+    }
+    report
+}
 
-    // Per-file pass: read, hash, mask/lex/extract, and (on cache miss) run
-    // the per-file lints. The rayon shim's ordered collect keeps results in
-    // walk order regardless of worker count.
+/// Build the call graph over `per` and run the flow lints (X012/X013/X014)
+/// into `report`, returning the graph's stats.
+fn flow_pass(
+    per: &[PerFile],
+    crate_names: &std::collections::HashMap<String, String>,
+    cfg: &Config,
+    report: &mut Report,
+) -> callgraph::GraphStats {
+    let graph_files: Vec<(String, syntax::FileSyntax)> =
+        per.iter().map(|p| (p.rel.clone(), p.analysis.syntax.clone())).collect();
+    let graph = callgraph::build(&graph_files, crate_names);
+    let flow_files: Vec<flow::FlowFile> = per
+        .iter()
+        .map(|p| flow::FlowFile {
+            rel: &p.rel,
+            lines: &p.analysis.lines,
+            syntax: &p.analysis.syntax,
+        })
+        .collect();
+    let fr = flow::run(&flow_files, &graph, cfg);
+    report.active.extend(fr.findings);
+    report.waived.extend(fr.waived);
+    graph.stats
+}
+
+/// Lint the tree under `root` with an explicit config, also returning engine
+/// stats: the parallel per-file pass, then the cross-file passes — X008/X010,
+/// the workspace call graph, and the flow lints X012–X014.
+pub fn run_with_config_opts(root: &Path, cfg: &Config) -> Result<(Report, Stats), String> {
+    let files = collect_files(root, cfg).map_err(|e| format!("walking {root:?}: {e}"))?;
+
+    // Per-file pass: read, lex once, mask/extract, and run the per-file
+    // lints. The rayon shim's ordered collect keeps results in walk order
+    // regardless of worker count.
     let per: Vec<Result<PerFile, String>> = files
         .par_iter()
         .map(|rel| {
             let source = std::fs::read_to_string(root.join(rel))
                 .map_err(|e| format!("reading {rel}: {e}"))?;
-            let content_hash = cache::fnv1a(source.as_bytes());
-            let cached = warm.as_ref().and_then(|c| c.get(rel, content_hash));
-            let (report, syntax, lines, cache_hit) = match cached {
-                Some(report) => {
-                    let (syntax, lines) = lints::structure(rel, &source);
-                    (report, syntax, lines, true)
-                }
-                None => {
-                    let a = lints::analyze_file(rel, &source, cfg);
-                    (a.report, a.syntax, a.lines, false)
-                }
-            };
-            Ok(PerFile { rel: rel.clone(), source, content_hash, report, syntax, lines, cache_hit })
+            let analysis = lints::analyze_file(rel, &source, cfg);
+            Ok(PerFile { rel: rel.clone(), source, analysis })
         })
         .collect();
     let per: Vec<PerFile> = per.into_iter().collect::<Result<_, _>>()?;
 
-    let mut stats = Stats { files: per.len(), ..Stats::default() };
-    let mut report = Report::default();
-    for p in &per {
-        stats.cache_hits += p.cache_hit as usize;
-        stats.cache_misses += !p.cache_hit as usize;
-        report.active.extend(p.report.findings.iter().cloned());
-        report.waived.extend(p.report.waived.iter().cloned());
-    }
+    let mut report = per_file_report(&per);
     let source_of = |rel: &str| per.iter().find(|p| p.rel == rel).map(|p| p.source.as_str());
 
     // X008 — the models module's declared names against the persist module.
@@ -271,30 +251,11 @@ pub fn run_with_config_opts(
         }
     }
 
-    // The workspace call graph + the flow lints (X012/X013/X014).
-    let graph_files: Vec<(String, syntax::FileSyntax)> =
-        per.iter().map(|p| (p.rel.clone(), p.syntax.clone())).collect();
     let crate_names = callgraph::workspace_crate_names(root);
-    let graph = callgraph::build(&graph_files, &crate_names);
-    stats.graph = graph.stats;
-    let flow_files: Vec<flow::FlowFile> = per
-        .iter()
-        .map(|p| flow::FlowFile { rel: &p.rel, lines: &p.lines, syntax: &p.syntax })
-        .collect();
-    let fr = flow::run(&flow_files, &graph, cfg);
-    report.active.extend(fr.findings);
-    report.waived.extend(fr.waived);
-
+    let graph = flow_pass(&per, &crate_names, cfg, &mut report);
     apply_baseline(&mut report, cfg);
     report.normalize();
-
-    if let Some(path) = &opts.cache_path {
-        let entries: Vec<(String, u64, FileReport)> =
-            per.into_iter().map(|p| (p.rel, p.content_hash, p.report)).collect();
-        // A failed save costs the next run its warm start, nothing else.
-        cache::save(path, cfg_hash, &entries).ok();
-    }
-    Ok((report, stats))
+    Ok((report, Stats { files: per.len(), graph }))
 }
 
 /// Move baseline-covered findings out of `active`, tracking leftover

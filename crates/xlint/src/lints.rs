@@ -9,6 +9,7 @@
 //! wrong: `// xlint::allow(X00n): reason`.
 
 use crate::config::Config;
+use crate::lexer::lex;
 use crate::mask::{contains_word, mask, MaskedLine};
 
 /// The lint catalog.
@@ -54,25 +55,6 @@ pub enum Lint {
     X014,
 }
 
-/// Every lint, in id order.
-pub const ALL_LINTS: [Lint; 15] = [
-    Lint::X000,
-    Lint::X001,
-    Lint::X002,
-    Lint::X003,
-    Lint::X004,
-    Lint::X005,
-    Lint::X006,
-    Lint::X007,
-    Lint::X008,
-    Lint::X009,
-    Lint::X010,
-    Lint::X011,
-    Lint::X012,
-    Lint::X013,
-    Lint::X014,
-];
-
 impl Lint {
     /// Stable id string, e.g. `"X003"`.
     pub fn id(&self) -> &'static str {
@@ -93,11 +75,6 @@ impl Lint {
             Lint::X013 => "X013",
             Lint::X014 => "X014",
         }
-    }
-
-    /// Inverse of [`Lint::id`], for cache deserialization.
-    pub fn from_id(id: &str) -> Option<Lint> {
-        ALL_LINTS.iter().copied().find(|l| l.id() == id)
     }
 
     /// One-line description of the violated invariant.
@@ -370,18 +347,11 @@ pub fn lint_file(rel: &str, source: &str, cfg: &Config) -> FileReport {
     analyze_file(rel, source, cfg).report
 }
 
-/// Mask + lex + extract only — the inputs the cross-file passes need even
-/// when the per-file lint results come from the cache.
-pub fn structure(rel: &str, source: &str) -> (crate::syntax::FileSyntax, Vec<MaskedLine>) {
-    let lines = mask(source);
-    let tokens = crate::lexer::lex(source);
-    let syntax = crate::syntax::extract(source, &tokens, is_test_file(rel));
-    (syntax, lines)
-}
-
 /// Lint one file and keep the token-level structure for the flow pass.
 pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
-    let (syntax, lines) = structure(rel, source);
+    let tokens = lex(source);
+    let lines = mask(source, &tokens);
+    let syntax = crate::syntax::extract(source, &tokens, is_test_file(rel));
     let tests = test_lines(rel, &lines);
     let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
 
@@ -500,7 +470,7 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
 /// A name the persist layer has never heard of means a fitted model that
 /// silently vanishes on save/load.
 pub fn lint_model_persistence(models_rel: &str, models_src: &str, persist_src: &str) -> FileReport {
-    let lines = mask(models_src);
+    let lines = mask(models_src, &lex(models_src));
     let raw: Vec<&str> = models_src.lines().collect();
     let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
     let mut in_fn_name = false;
@@ -540,7 +510,7 @@ pub fn lint_model_type_persistence(
     models_src: &str,
     roundtrip_src: &str,
 ) -> FileReport {
-    let lines = mask(models_src);
+    let lines = mask(models_src, &lex(models_src));
     let mut raw_hits: Vec<(Lint, usize)> = Vec::new();
     for (i, l) in lines.iter().enumerate() {
         let Some(ident) = model_type_decl(l.code.as_str()) else { continue };

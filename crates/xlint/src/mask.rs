@@ -1,4 +1,4 @@
-//! Comment/string-aware masking of Rust source.
+//! Comment/string-aware masked views of Rust source.
 //!
 //! The lint passes work on *masked* views of a file: one view keeps only the
 //! code (string/char literal contents and comments blanked to spaces), the
@@ -6,10 +6,11 @@
 //! then never fire inside a string literal or a doc comment, and waiver /
 //! `SAFETY:` / `ORDERING:` detection reads the comment view exclusively.
 //!
-//! This is a hand-rolled scanner, not a full lexer: it understands line
-//! comments, nested block comments, plain and raw (byte) strings, char
-//! literals vs. lifetimes, and nothing more — exactly enough to make
-//! substring lints trustworthy.
+//! The views are built from the [`crate::lexer`] token stream, so the line
+//! lints, the waiver reader and the syntax extractor all share one answer to
+//! "is this code, comment, or literal?".
+
+use crate::lexer::{Token, TokenKind};
 
 /// One source line split into its code part and its comment part. Both
 /// strings preserve column positions (masked spans become spaces).
@@ -29,198 +30,49 @@ impl MaskedLine {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum State {
-    Code,
-    LineComment,
-    BlockComment(u32),
-    Str,
-    RawStr(u32),
-    CharLit,
-}
-
-/// Split `src` into per-line code/comment views.
-pub fn mask(src: &str) -> Vec<MaskedLine> {
+/// Split `src` into per-line code/comment views by walking `tokens`, its
+/// [`crate::lexer::lex`] stream, in order: comment tokens go to the comment
+/// view, string/char interiors are blanked in both views, and everything
+/// else (whitespace, ordinary tokens, literal quotes, prefixes and hashes)
+/// stays code. Newlines go to both views, so the two split into the same
+/// lines and every column keeps its position.
+pub fn mask(src: &str, tokens: &[Token]) -> Vec<MaskedLine> {
+    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
     let mut code = String::with_capacity(src.len());
     let mut comment = String::with_capacity(src.len());
-    let mut state = State::Code;
-    let mut prev_char = '\0';
-    let chars: Vec<char> = src.chars().collect();
-    let n = chars.len();
-    let mut i = 0usize;
-
-    // Push `c` to one view and a placeholder to the other; newlines go to
-    // both so line splitting stays aligned.
-    let push = |code: &mut String, comment: &mut String, c: char, to_code: bool| {
-        if c == '\n' {
-            code.push('\n');
-            comment.push('\n');
-        } else if to_code {
-            code.push(c);
-            comment.push(' ');
+    let mut push = |span: &str, to_code: bool, to_comment: bool| {
+        if to_code {
+            code.push_str(span);
         } else {
-            code.push(' ');
-            comment.push(c);
+            code.extend(span.chars().map(blank));
+        }
+        if to_comment {
+            comment.push_str(span);
+        } else {
+            comment.extend(span.chars().map(blank));
         }
     };
-
-    while i < n {
-        let c = chars[i];
-        let next = |k: usize| chars.get(i + k).copied().unwrap_or('\0');
-        match state {
-            State::Code => {
-                if c == '/' && next(1) == '/' {
-                    state = State::LineComment;
-                    push(&mut code, &mut comment, c, false);
-                } else if c == '/' && next(1) == '*' {
-                    state = State::BlockComment(1);
-                    push(&mut code, &mut comment, c, false);
-                } else if c == '"' {
-                    // Raw-string openers are handled below at their `r`; a
-                    // bare quote starts a plain (or byte) string.
-                    state = State::Str;
-                    push(&mut code, &mut comment, c, true);
-                } else if (c == 'r' || c == 'b')
-                    && !prev_char.is_alphanumeric()
-                    && prev_char != '_'
-                    && is_raw_string_opener(&chars, i)
-                {
-                    // Consume the prefix (`r`, `br`, `rb`) and hashes up to
-                    // the opening quote, counting the hashes.
-                    let mut j = i;
-                    while chars[j] == 'r' || chars[j] == 'b' {
-                        push(&mut code, &mut comment, chars[j], true);
-                        j += 1;
-                    }
-                    let mut hashes = 0u32;
-                    while chars[j] == '#' {
-                        hashes += 1;
-                        push(&mut code, &mut comment, chars[j], true);
-                        j += 1;
-                    }
-                    push(&mut code, &mut comment, chars[j], true); // opening quote
-                    prev_char = '"';
-                    i = j + 1;
-                    state = State::RawStr(hashes);
-                    continue;
-                } else if c == '\'' {
-                    // Char literal vs lifetime: `'\...'` and `'x'` are
-                    // literals, `'ident` (no nearby closing quote) is a
-                    // lifetime and stays code.
-                    if next(1) == '\\' || (next(1) != '\0' && next(2) == '\'') {
-                        state = State::CharLit;
-                        push(&mut code, &mut comment, c, true);
-                    } else {
-                        push(&mut code, &mut comment, c, true);
-                    }
-                } else {
-                    push(&mut code, &mut comment, c, true);
-                }
+    let mut at = 0;
+    for t in tokens {
+        push(&src[at..t.start], true, false);
+        match t.kind {
+            TokenKind::Comment => push(t.text(src), false, true),
+            TokenKind::Str { interior_start, interior_end }
+            | TokenKind::Char { interior_start, interior_end } => {
+                push(&src[t.start..interior_start], true, false);
+                push(&src[interior_start..interior_end], false, false);
+                push(&src[interior_end..t.end], true, false);
             }
-            State::LineComment => {
-                if c == '\n' {
-                    state = State::Code;
-                }
-                push(&mut code, &mut comment, c, false);
-            }
-            State::BlockComment(depth) => {
-                if c == '/' && next(1) == '*' {
-                    state = State::BlockComment(depth + 1);
-                    push(&mut code, &mut comment, c, false);
-                    push(&mut code, &mut comment, next(1), false);
-                    i += 2;
-                    prev_char = '*';
-                    continue;
-                } else if c == '*' && next(1) == '/' {
-                    state = if depth == 1 { State::Code } else { State::BlockComment(depth - 1) };
-                    push(&mut code, &mut comment, c, false);
-                    push(&mut code, &mut comment, next(1), false);
-                    i += 2;
-                    prev_char = '/';
-                    continue;
-                }
-                push(&mut code, &mut comment, c, false);
-            }
-            State::Str => {
-                if c == '\\' {
-                    // Swallow the escaped char (blank both halves).
-                    push(&mut code, &mut comment, ' ', true);
-                    if next(1) != '\0' {
-                        push(
-                            &mut code,
-                            &mut comment,
-                            if next(1) == '\n' { '\n' } else { ' ' },
-                            true,
-                        );
-                        i += 2;
-                        prev_char = ' ';
-                        continue;
-                    }
-                } else if c == '"' {
-                    state = State::Code;
-                    push(&mut code, &mut comment, c, true);
-                } else {
-                    push(&mut code, &mut comment, if c == '\n' { '\n' } else { ' ' }, true);
-                }
-            }
-            State::RawStr(hashes) => {
-                if c == '"' && (0..hashes as usize).all(|k| next(1 + k) == '#') {
-                    push(&mut code, &mut comment, c, true);
-                    for k in 0..hashes as usize {
-                        push(&mut code, &mut comment, chars[i + 1 + k], true);
-                    }
-                    i += 1 + hashes as usize;
-                    prev_char = '#';
-                    state = State::Code;
-                    continue;
-                }
-                push(&mut code, &mut comment, if c == '\n' { '\n' } else { ' ' }, true);
-            }
-            State::CharLit => {
-                if c == '\\' && next(1) != '\0' {
-                    push(&mut code, &mut comment, ' ', true);
-                    push(&mut code, &mut comment, ' ', true);
-                    i += 2;
-                    prev_char = ' ';
-                    continue;
-                }
-                if c == '\'' {
-                    state = State::Code;
-                    push(&mut code, &mut comment, c, true);
-                } else {
-                    push(&mut code, &mut comment, ' ', true);
-                }
-            }
+            _ => push(t.text(src), true, false),
         }
-        prev_char = c;
-        i += 1;
+        at = t.end;
     }
+    push(&src[at..], true, false);
 
     code.lines()
         .zip(comment.lines())
         .map(|(c, k)| MaskedLine { code: c.to_string(), comment: k.to_string() })
         .collect()
-}
-
-/// At `chars[i]` sitting on `r` or `b`: does a raw-string opener
-/// (`r"`, `r#"`, `br"`, `rb#"`, …) start here?
-fn is_raw_string_opener(chars: &[char], i: usize) -> bool {
-    let mut j = i;
-    let mut saw_r = false;
-    while j < chars.len() && (chars[j] == 'r' || chars[j] == 'b') {
-        saw_r |= chars[j] == 'r';
-        j += 1;
-        if j - i > 2 {
-            return false;
-        }
-    }
-    if !saw_r {
-        return false;
-    }
-    while j < chars.len() && chars[j] == '#' {
-        j += 1;
-    }
-    j < chars.len() && chars[j] == '"'
 }
 
 /// Does `hay` contain `needle` as a standalone word (no identifier chars on
@@ -245,11 +97,12 @@ pub fn contains_word(hay: &str, needle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     #[test]
     fn comments_and_strings_are_separated() {
         let src = "let x = \"std::thread::spawn\"; // std::sync::mpsc here\nlet y = 1;\n";
-        let m = mask(src);
+        let m = mask(src, &lex(src));
         assert!(!m[0].code.contains("spawn"));
         assert!(!m[0].code.contains("mpsc"));
         assert!(m[0].comment.contains("mpsc"));
@@ -259,7 +112,7 @@ mod tests {
     #[test]
     fn nested_block_comments_and_raw_strings() {
         let src = "/* a /* nested */ still */ code();\nlet s = r#\"unsafe \"quoted\"\"#; more();\n";
-        let m = mask(src);
+        let m = mask(src, &lex(src));
         assert!(m[0].code.contains("code()"));
         assert!(m[0].comment.contains("nested"));
         assert!(!m[1].code.contains("unsafe"));
@@ -269,7 +122,7 @@ mod tests {
     #[test]
     fn char_literals_and_lifetimes() {
         let src = "fn f<'a>(x: &'a str) -> char { '\"' }\nlet q = 'y';\n";
-        let m = mask(src);
+        let m = mask(src, &lex(src));
         // The quote char literal must not open a string state.
         assert!(m[1].code.contains("let q"));
         assert!(m[0].code.contains("&'a str"));
@@ -286,7 +139,7 @@ mod tests {
     #[test]
     fn multiline_block_comment_attribution() {
         let src = "/* SAFETY:\n   spans lines */\nunsafe { work() }\n";
-        let m = mask(src);
+        let m = mask(src, &lex(src));
         assert!(m[0].comment.contains("SAFETY:"));
         assert!(m[0].is_comment_or_blank());
         assert!(m[1].is_comment_or_blank());

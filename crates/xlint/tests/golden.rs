@@ -2,9 +2,11 @@
 //! cases for one lint; the full JSON report is pinned in
 //! `fixtures/x00N.expected.json`. Regenerate with
 //! `XLINT_BLESS=1 cargo test -p xlint --test golden` and review the diff.
+//! The last test pins the binary's report bytes across worker counts.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use xlint::{lint_file, to_json, Config, Lint, Report};
 
 fn fixture_dir() -> PathBuf {
@@ -281,4 +283,48 @@ fn negatives_do_not_fire() {
             );
         }
     }
+}
+
+/// A small lintable tree: one clean file, one X001 finding, one waiver.
+fn write_tree(root: &Path) {
+    fs::create_dir_all(root.join("src")).unwrap();
+    fs::write(root.join("xlint.toml"), "[walk]\nroots = [\"src\"]\n").unwrap();
+    fs::write(
+        root.join("src").join("a.rs"),
+        "pub fn spawny() {\n    std::thread::spawn(|| {});\n}\n",
+    )
+    .unwrap();
+    fs::write(
+        root.join("src").join("b.rs"),
+        "pub fn fine() -> u32 {\n    // xlint::allow(X001): thread-count fixture waiver\n    std::thread::spawn(|| {});\n    2\n}\n",
+    )
+    .unwrap();
+    fs::write(root.join("src").join("c.rs"), "pub fn quiet() {}\n").unwrap();
+}
+
+/// `RAYON_NUM_THREADS=1` and `=4` must produce byte-identical reports: the
+/// parallel per-file pass merges in walk order, never in completion order.
+/// This runs the actual binary because the rayon shim sizes its global pool
+/// once per process.
+#[test]
+fn thread_count_does_not_change_output() {
+    let root = std::env::temp_dir().join("xlint-golden-threads");
+    fs::remove_dir_all(&root).ok();
+    write_tree(&root);
+    let run = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_xlint"))
+            .args(["--json", "--root"])
+            .arg(&root)
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("run xlint binary");
+        assert!(out.status.success(), "xlint exited nonzero: {:?}", out);
+        out.stdout
+    };
+    let single = run("1");
+    let four = run("4");
+    assert!(!single.is_empty());
+    assert_eq!(single, four, "thread count leaked into the report");
+
+    fs::remove_dir_all(&root).ok();
 }

@@ -1,24 +1,22 @@
-//! Property test: the token lexer and the masked-line scanner must agree on
-//! what is code, what is comment, and what is literal interior — for
-//! arbitrary well-formed snippets assembled from the constructs both claim
-//! to understand (idents, puncts, plain/raw strings, char literals,
-//! lifetimes, line and block comments).
+//! Property test: the lexer's classification of every char as code,
+//! comment, or literal interior, and the masked line views built from its
+//! token stream, must match the true class of every char in arbitrary
+//! well-formed snippets. The generator assembles the snippets from the
+//! constructs the lexer claims to understand (idents, puncts, plain/raw
+//! strings, char literals, lifetimes, line and block comments) and records
+//! each char's class as it emits it, so the labels are an oracle independent
+//! of the lexer.
 //!
-//! The two passes are independent implementations of the same
-//! classification: `mask::mask` drives the substring lints (X001–X011) and
-//! waiver detection, `lexer::lex` drives the token-level X007 rule and the
-//! syntax extractor behind X012–X014. A disagreement means one of the two
-//! can be fooled into reading a literal or a comment as code — exactly the
-//! failure masking exists to prevent.
-//!
-//! Known deliberate exclusion: an escaped newline inside a char literal
-//! (`'\<newline>'`) misaligns the mask's line splitting; the generator never
-//! produces one. Plain strings with `\n`-style escapes (two chars, no real
-//! newline) are covered.
+//! The masked views drive the line lints (X001–X011) and waiver detection;
+//! the token stream drives the token-level X007 rule and the syntax
+//! extractor behind X012–X014. A mislabel means the lints can be fooled into
+//! reading a literal or a comment as code — exactly the failure masking
+//! exists to prevent.
 
 use proptest::prelude::*;
 use xlint::lexer::{self, CharClass};
 use xlint::mask;
+use CharClass::{Code, Comment, LiteralInterior};
 
 const IDENTS: &[&str] = &["alpha", "beta_2", "now", "lock", "x", "fname", "r#type"];
 const KEYWORDS: &[&str] = &["fn", "let", "impl", "use", "mod", "match", "pub"];
@@ -37,129 +35,124 @@ fn pick<'a>(table: &'a [&'a str], bits: u64) -> &'a str {
     table[(bits % table.len() as u64) as usize]
 }
 
-/// Append one source atom chosen by `(kind, bits)`.
-fn push_atom(kind: u8, bits: u64, out: &mut String) {
+/// A generated source plus the true class of every char in it.
+#[derive(Default)]
+struct Labeled {
+    src: String,
+    classes: Vec<CharClass>,
+}
+
+impl Labeled {
+    fn push(&mut self, text: &str, class: CharClass) {
+        self.src.push_str(text);
+        self.classes.extend(text.chars().map(|_| class));
+    }
+}
+
+/// Append one source atom chosen by `(kind, bits)`, labelling each char.
+fn push_atom(kind: u8, bits: u64, out: &mut Labeled) {
     match kind % 10 {
-        0 => out.push_str(pick(IDENTS, bits)),
-        1 => out.push_str(pick(KEYWORDS, bits)),
-        2 => out.push_str(&(bits % 100_000).to_string()),
-        3 => out.push_str(pick(PUNCTS, bits)),
+        0 => out.push(pick(IDENTS, bits), Code),
+        1 => out.push(pick(KEYWORDS, bits), Code),
+        2 => out.push(&(bits % 100_000).to_string(), Code),
+        3 => out.push(pick(PUNCTS, bits), Code),
         4 => {
             // Plain string: 1–3 pieces, each a chunk or an escape.
-            out.push('"');
+            out.push("\"", Code);
             let mut b = bits;
             for _ in 0..(b % 3 + 1) {
                 if b & 1 == 0 {
-                    out.push_str(pick(STR_CHUNKS, b >> 1));
+                    out.push(pick(STR_CHUNKS, b >> 1), LiteralInterior);
                 } else {
-                    out.push_str(pick(STR_ESCAPES, b >> 1));
+                    out.push(pick(STR_ESCAPES, b >> 1), LiteralInterior);
                 }
                 b >>= 3;
             }
-            out.push('"');
+            out.push("\"", Code);
         }
         5 => {
             // Raw string, 0 or 1 hashes; a hashed interior may hold bare
             // quotes (but never the `"#` terminator).
             let hashed = bits & 1 == 1;
-            out.push('r');
-            if hashed {
-                out.push('#');
-            }
-            out.push('"');
-            out.push_str(pick(if hashed { RAW_HASHED } else { RAW_PLAIN }, bits >> 1));
-            out.push('"');
-            if hashed {
-                out.push('#');
-            }
+            out.push(if hashed { "r#\"" } else { "r\"" }, Code);
+            out.push(pick(if hashed { RAW_HASHED } else { RAW_PLAIN }, bits >> 1), LiteralInterior);
+            out.push(if hashed { "\"#" } else { "\"" }, Code);
         }
         6 => {
-            out.push('\'');
-            out.push_str(pick(CHAR_BODIES, bits));
-            out.push('\'');
+            out.push("'", Code);
+            out.push(pick(CHAR_BODIES, bits), LiteralInterior);
+            out.push("'", Code);
         }
         7 => {
-            out.push('\'');
-            out.push_str(pick(LIFETIMES, bits));
+            out.push("'", Code);
+            out.push(pick(LIFETIMES, bits), Code);
         }
         8 => {
-            out.push_str("// ");
-            out.push_str(pick(COMMENT_TEXT, bits));
-            out.push('\n');
+            out.push("// ", Comment);
+            out.push(pick(COMMENT_TEXT, bits), Comment);
+            // The newline ends the comment; it is not part of it.
+            out.push("\n", Code);
         }
         _ => {
-            out.push_str("/* ");
-            out.push_str(pick(BLOCK_TEXT, bits));
-            out.push_str(" */");
+            out.push("/* ", Comment);
+            out.push(pick(BLOCK_TEXT, bits), Comment);
+            out.push(" */", Comment);
         }
     }
 }
 
-/// Per-char classification derived from the masked views: a non-blank char
-/// in the comment view is Comment; a char the code view preserves is Code;
-/// a char the code view blanked is literal interior.
-fn mask_classes(src: &str) -> Vec<CharClass> {
-    let masked = mask::mask(src);
-    let lines: Vec<(Vec<char>, Vec<char>)> =
-        masked.iter().map(|m| (m.code.chars().collect(), m.comment.chars().collect())).collect();
-    let mut out = Vec::with_capacity(src.chars().count());
-    let (mut line, mut col) = (0usize, 0usize);
-    for c in src.chars() {
-        if c == '\n' {
-            line += 1;
-            col = 0;
-            out.push(CharClass::Code);
-            continue;
-        }
-        let (code, com) = &lines[line];
-        let code_c = code.get(col).copied().unwrap_or(' ');
-        let com_c = com.get(col).copied().unwrap_or(' ');
-        out.push(if com_c != ' ' {
-            CharClass::Comment
-        } else if code_c == c {
-            CharClass::Code
-        } else {
-            CharClass::LiteralInterior
-        });
-        col += 1;
+/// The `(code, comment)` line views the labels call for: code chars stay in
+/// the code view, comment chars in the comment view, literal interiors are
+/// blanked in both, and newlines go to both.
+fn labeled_views(l: &Labeled) -> Vec<(String, String)> {
+    let (mut code, mut comment) = (String::new(), String::new());
+    for (c, class) in l.src.chars().zip(&l.classes) {
+        let (to_code, to_comment) = match (c, class) {
+            ('\n', _) => ('\n', '\n'),
+            (_, Code) => (c, ' '),
+            (_, Comment) => (' ', c),
+            (_, LiteralInterior) => (' ', ' '),
+        };
+        code.push(to_code);
+        comment.push(to_comment);
     }
-    out
+    code.lines().zip(comment.lines()).map(|(k, m)| (k.to_string(), m.to_string())).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn lexer_and_mask_agree_on_classification(
+    fn lexer_and_masked_views_match_the_labels(
         atoms in collection::vec((any::<u8>(), any::<u64>()), 1..40)
     ) {
-        let mut src = String::new();
+        let mut l = Labeled::default();
         for (kind, bits) in &atoms {
-            push_atom(*kind, *bits, &mut src);
-            src.push(' ');
+            push_atom(*kind, *bits, &mut l);
+            l.push(" ", Code);
         }
-        src.push('\n');
+        l.push("\n", Code);
+        let src = &l.src;
 
-        let tokens = lexer::lex(&src);
-        let from_lexer = lexer::char_classes(&src, &tokens);
-        let from_mask = mask_classes(&src);
-        prop_assert_eq!(from_lexer.len(), from_mask.len());
-
+        let tokens = lexer::lex(src);
+        let classes = lexer::char_classes(src, &tokens);
+        prop_assert_eq!(classes.len(), l.classes.len());
         for (i, c) in src.chars().enumerate() {
-            // Spaces are ambiguous by construction (a blank is a blank in
-            // every view); everything visible must agree.
-            if c == ' ' || c == '\n' {
-                continue;
-            }
             prop_assert_eq!(
-                from_lexer[i],
-                from_mask[i],
+                classes[i],
+                l.classes[i],
                 "char {} `{}` in:\n{}",
                 i,
                 c,
                 src
             );
         }
+
+        let views: Vec<(String, String)> = mask::mask(src, &tokens)
+            .into_iter()
+            .map(|m| (m.code, m.comment))
+            .collect();
+        prop_assert_eq!(views, labeled_views(&l), "masked views of:\n{}", src);
 
         // Token sanity while we have the stream: spans are in-bounds,
         // non-empty, and strictly ordered.
