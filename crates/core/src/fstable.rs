@@ -116,16 +116,18 @@ pub struct TableKey {
 impl TableKey {
     /// Build a key from a user-level configuration. `image_side` is the
     /// integer square root of `cfg.pixels`; configurations are square by
-    /// construction everywhere in this repo.
-    pub fn from_config(cfg: &RenderConfig, device: DeviceClass) -> TableKey {
-        let side = (cfg.pixels as f64).sqrt().round() as u32;
-        TableKey {
+    /// construction everywhere in this repo. `None` when a field does not
+    /// fit the key's `u32`, rather than a truncated key that names another
+    /// configuration.
+    pub fn from_config(cfg: &RenderConfig, device: DeviceClass) -> Option<TableKey> {
+        let side = (cfg.pixels as f64).sqrt().round() as u64;
+        Some(TableKey {
             renderer: renderer_code(cfg.renderer),
             device: device.code(),
-            image_side: side,
-            cells_per_task: cfg.cells_per_task as u32,
-            tasks: cfg.tasks as u32,
-        }
+            image_side: u32::try_from(side).ok()?,
+            cells_per_task: u32::try_from(cfg.cells_per_task).ok()?,
+            tasks: u32::try_from(cfg.tasks).ok()?,
+        })
     }
 
     /// The key packed into one integer: fields in declaration order occupy
@@ -854,7 +856,14 @@ mod tests {
         let key =
             TableKey { renderer: 1, device: 0, image_side: 768, cells_per_task: 300, tasks: 64 };
         let cfg = key.to_config().expect("valid code");
-        assert_eq!(TableKey::from_config(&cfg, DeviceClass::Serial), key);
+        assert_eq!(TableKey::from_config(&cfg, DeviceClass::Serial), Some(key));
+        for too_big in [
+            RenderConfig { tasks: (1 << 32) + 128, ..cfg },
+            RenderConfig { cells_per_task: 1 << 32, ..cfg },
+            RenderConfig { pixels: usize::MAX, ..cfg },
+        ] {
+            assert_eq!(TableKey::from_config(&too_big, DeviceClass::Serial), None, "{too_big:?}");
+        }
         assert!(
             TableKey { renderer: 9, ..key }.to_config().is_none(),
             "unknown renderer codes must not decode"

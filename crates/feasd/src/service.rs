@@ -99,7 +99,8 @@ pub struct Answer {
     pub build_s: f64,
     /// Renderer of the answered configuration (echoed, or chosen by a plan).
     pub renderer: RendererKind,
-    /// Image side of the answered configuration (echoed, or chosen).
+    /// Image side of the answered configuration (echoed, or chosen); 0 for
+    /// an in-process configuration outside the table's `u32` key domain.
     pub image_side: u32,
     /// Table hit or live model evaluation.
     pub source: Source,
@@ -417,13 +418,13 @@ impl Feasd {
     fn needed_keys(&self, query: &Query) -> Vec<TableKey> {
         match query.ask {
             Ask::Feasibility { config, .. } => {
-                vec![TableKey::from_config(&config, query.device)]
+                TableKey::from_config(&config, query.device).into_iter().collect()
             }
             Ask::Plan { cells_per_task, tasks, .. } => {
                 let mut keys = Vec::new();
                 for &side in &self.cfg.lattice.image_sides {
                     for renderer in &self.cfg.lattice.renderers {
-                        keys.push(TableKey::from_config(
+                        keys.extend(TableKey::from_config(
                             &RenderConfig {
                                 renderer: *renderer,
                                 cells_per_task,
@@ -445,33 +446,25 @@ impl Feasd {
         resolved: &BTreeMap<TableKey, Option<(FramePrediction, Source)>>,
         snap: &ModelSnapshot,
     ) -> Answer {
-        // An unfilled slot can only mean an invalid renderer code, which
-        // keys built from a RenderConfig cannot produce; evaluate inline as
-        // a total fallback rather than panicking in a server loop.
-        let lookup = |key: &TableKey| -> (FramePrediction, Source) {
-            match resolved.get(key) {
-                Some(Some(hit)) => *hit,
-                _ => {
-                    let cfg = key.to_config().unwrap_or(RenderConfig {
-                        renderer: RendererKind::VolumeRendering,
-                        cells_per_task: key.cells_per_task as usize,
-                        pixels: (key.image_side as usize) * (key.image_side as usize),
-                        tasks: key.tasks as usize,
-                    });
-                    (
-                        FramePrediction {
-                            per_frame_s: snap.set.predict_frame_seconds(&cfg, &snap.k),
-                            build_s: snap.set.predict_build_seconds(&cfg, &snap.k),
-                        },
-                        Source::Model,
-                    )
-                }
+        // A configuration has no slot only when it lies outside the table's
+        // key domain (the wire rejects those; an in-process query may not):
+        // evaluate it inline rather than panicking in a server loop.
+        let lookup = |key: Option<TableKey>, cfg: &RenderConfig| -> (FramePrediction, Source) {
+            match key.and_then(|k| resolved.get(&k).copied().flatten()) {
+                Some(hit) => hit,
+                None => (
+                    FramePrediction {
+                        per_frame_s: snap.set.predict_frame_seconds(cfg, &snap.k),
+                        build_s: snap.set.predict_build_seconds(cfg, &snap.k),
+                    },
+                    Source::Model,
+                ),
             }
         };
         match query.ask {
             Ask::Feasibility { config, budget_s, images } => {
                 let key = TableKey::from_config(&config, query.device);
-                let (pred, source) = lookup(&key);
+                let (pred, source) = lookup(key, &config);
                 let possible = pred.images_in_budget(budget_s);
                 Answer {
                     feasible: possible >= images,
@@ -479,7 +472,7 @@ impl Feasd {
                     per_frame_s: pred.per_frame_s,
                     build_s: pred.build_s,
                     renderer: config.renderer,
-                    image_side: key.image_side,
+                    image_side: key.map_or(0, |k| k.image_side),
                     source,
                     generation: snap.generation,
                 }
@@ -498,8 +491,8 @@ impl Feasd {
                             pixels: (side as usize) * (side as usize),
                             tasks,
                         };
-                        let key = TableKey::from_config(&cfg, query.device);
-                        let (pred, source) = lookup(&key);
+                        let (pred, source) =
+                            lookup(TableKey::from_config(&cfg, query.device), &cfg);
                         any_model |= source == Source::Model;
                         let possible = pred.images_in_budget(budget_s);
                         let candidate = Answer {

@@ -288,6 +288,19 @@ fn get_usize(node: &Node, key: &str) -> Result<usize, WireError> {
     usize::try_from(v).map_err(|_| werr(format!("field `{key}` must be non-negative")))
 }
 
+/// A count that keys the feasibility table (`TableKey` fields are `u32`):
+/// at least `min` and at most `u32::MAX`.
+fn get_key_count(node: &Node, key: &str, min: usize) -> Result<usize, WireError> {
+    let v = get_usize(node, key)?;
+    if v < min {
+        return Err(werr(format!("field `{key}` must be at least {min}")));
+    }
+    if u32::try_from(v).is_err() {
+        return Err(werr(format!("field `{key}` exceeds {}", u32::MAX)));
+    }
+    Ok(v)
+}
+
 fn get_f64(node: &Node, key: &str) -> Result<f64, WireError> {
     node.get_f64(key)
         .or_else(|| node.get_i64(key).map(|i| i as f64))
@@ -319,21 +332,23 @@ pub fn query_from_node(node: &Node) -> Result<Query, WireError> {
                 node.get_str("renderer").ok_or_else(|| werr("missing string field `renderer`"))?;
             let renderer = RendererKind::parse(renderer_label)
                 .ok_or_else(|| werr(format!("unknown renderer `{renderer_label}`")))?;
-            let side = get_usize(node, "image_side")?;
+            let side = get_key_count(node, "image_side", 0)?;
+            let pixels =
+                side.checked_mul(side).ok_or_else(|| werr("image_side squared overflows"))?;
             Ask::Feasibility {
                 config: RenderConfig {
                     renderer,
-                    cells_per_task: get_usize(node, "cells_per_task")?,
-                    pixels: side * side,
-                    tasks: get_usize(node, "tasks")?,
+                    cells_per_task: get_key_count(node, "cells_per_task", 0)?,
+                    pixels,
+                    tasks: get_key_count(node, "tasks", 1)?,
                 },
                 budget_s,
                 images,
             }
         }
         "plan" => Ask::Plan {
-            cells_per_task: get_usize(node, "cells_per_task")?,
-            tasks: get_usize(node, "tasks")?,
+            cells_per_task: get_key_count(node, "cells_per_task", 0)?,
+            tasks: get_key_count(node, "tasks", 1)?,
             budget_s,
             images,
         },
@@ -423,6 +438,41 @@ mod tests {
             let err = query_from_json(line).expect_err(line);
             assert!(err.message.contains(needle), "`{line}` -> {err}");
         }
+    }
+
+    #[test]
+    fn counts_outside_the_table_key_domain_are_rejected() {
+        // 4294967424 = 2^32 + 128 used to truncate to a `tasks` of 128 and
+        // get that row's table answer; 0 tasks used to answer
+        // `per_frame_s = inf`, written as `null`.
+        let feas = r#"{"ask":"feasibility","renderer":"ray_tracing","image_side":512,"cells_per_task":100,"budget_s":1"#;
+        let plan = r#"{"ask":"plan","cells_per_task":100,"budget_s":1"#;
+        for head in [feas, plan] {
+            for (tail, needle) in [
+                (r#","tasks":4294967424}"#, "field `tasks` exceeds 4294967295"),
+                (r#","tasks":0}"#, "field `tasks` must be at least 1"),
+            ] {
+                let line = format!("{head}{tail}");
+                let err = query_from_json(&line).expect_err(&line);
+                assert!(err.message.contains(needle), "`{line}` -> {err}");
+            }
+        }
+        for (line, needle) in [
+            (
+                r#"{"ask":"plan","cells_per_task":4294967296,"tasks":1,"budget_s":1}"#,
+                "field `cells_per_task` exceeds",
+            ),
+            (
+                r#"{"ask":"feasibility","renderer":"ray_tracing","image_side":4294967296,"cells_per_task":1,"tasks":1,"budget_s":1}"#,
+                "field `image_side` exceeds",
+            ),
+        ] {
+            let err = query_from_json(line).expect_err(line);
+            assert!(err.message.contains(needle), "`{line}` -> {err}");
+        }
+        // The largest counts the key holds still parse.
+        let line = r#"{"ask":"plan","cells_per_task":4294967295,"tasks":4294967295,"budget_s":1}"#;
+        assert!(query_from_json(line).is_ok(), "{line}");
     }
 
     #[test]

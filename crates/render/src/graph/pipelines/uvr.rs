@@ -44,15 +44,14 @@ pub fn render_unstructured_graph(
     skips: &[&str],
     cache: Option<&mut GraphCache>,
 ) -> Result<(UvrOutput, GraphInfo), GraphError> {
-    let field = tets
+    let field = &tets
         .field(field_name)
         .filter(|f| f.assoc == Assoc::Point)
         .ok_or_else(|| GraphError::PassFailed {
             pass: "scene",
             message: format!("no point field named {field_name}"),
         })?
-        .values
-        .clone();
+        .values;
 
     let buffer_bytes = sample_buffer_bytes(width, height, cfg);
     if let Some(limit) = cfg.memory_limit_bytes {
@@ -73,7 +72,6 @@ pub fn render_unstructured_graph(
     let slab = s_total.div_ceil(passes) as usize;
     let term = cfg.early_termination;
     let near = camera.near;
-    let field = &field;
 
     let init_key = fingerprint(&[tet_fingerprint(tets), camera_fingerprint(camera, width, height)]);
 

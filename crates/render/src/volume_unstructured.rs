@@ -10,10 +10,15 @@
 //! 2. **Screen-space transformation** — map the active tets into screen
 //!    space, precomputing the inverse barycentric matrix (the "interpolation
 //!    constants" the paper re-uses across samples of the same cell).
-//! 3. **Sampling** — map over active tets; every sample position inside the
-//!    tet's screen AABB and depth range gets an inside-outside barycentric
-//!    test and, if inside, writes the interpolated scalar into the sample
-//!    buffer. Tets partition space, so at most one writer reaches a sample —
+//! 3. **Sampling** — map over active tets. Each pixel column of the tet's
+//!    screen AABB is one cell-location operation (the model's CS work).
+//!    Each barycentric coordinate is linear in depth along the column, so
+//!    the column is first clipped to a conservative slice range where the
+//!    inside test can pass (`ColumnClip`). The inside-outside barycentric
+//!    test runs over that clipped range and, if inside, writes the
+//!    interpolated scalar into the sample buffer; the slices left out are
+//!    ones the test would reject, so the buffer equals the exhaustive
+//!    scan's. Tets partition space, so at most one writer reaches a sample —
 //!    except at shared faces, where the epsilon'd inside test lets two
 //!    adjacent tets claim the same sample. Those boundary ties are resolved
 //!    with an atomic `fetch_max` keyed on the global tet index, which is both
@@ -191,12 +196,15 @@ pub(crate) fn screen_space_stage(
             sv[i] = Vec3::new(s.x, s.y, d);
         }
         let ix = tets.tets[t];
-        let s = [
-            field[ix[0] as usize],
-            field[ix[1] as usize],
-            field[ix[2] as usize],
-            field[ix[3] as usize],
-        ];
+        ScreenTet::new(sv, ix.map(|i| field[i as usize]))
+    })
+}
+
+impl ScreenTet {
+    /// Precompute the barycentric inverse and screen AABB of the tet with
+    /// screen-space vertices `sv` (x, y in pixels, z = view depth) and
+    /// vertex scalars `s`; `None` when the tet is degenerate.
+    fn new(sv: [Vec3; 4], s: [f32; 4]) -> Option<ScreenTet> {
         let d = sv[3];
         let m0 = sv[0] - d;
         let m1 = sv[1] - d;
@@ -232,11 +240,15 @@ pub(crate) fn screen_space_stage(
         let bz0 = sv.iter().map(|v| v.z).fold(f32::INFINITY, f32::min);
         let bz1 = sv.iter().map(|v| v.z).fold(f32::NEG_INFINITY, f32::max);
         Some(ScreenTet { d, inv, s, bbox: [bx0, bx1, by0, by1, bz0, bz1] })
-    })
+    }
 }
 
+/// Threshold of the barycentric inside test. Slightly negative, so a sample
+/// on a shared face is claimed by both tets (resolved by `fetch_max`).
+const EPS: f32 = -1e-5;
+
 /// Sampling stage: fill this pass's sample slab with `fetch_max`-merged
-/// tagged scalars. Returns the loaded slab and the tet-pixel-column tests
+/// tagged scalars. Returns the slab and the tet-pixel-column tests
 /// performed (the CS model input).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub(crate) fn sampling_stage(
@@ -252,6 +264,47 @@ pub(crate) fn sampling_stage(
     slab: usize,
     s_begin: u32,
     s_end: u32,
+) -> (Vec<u64>, u64) {
+    sample_columns(
+        device,
+        active,
+        screen,
+        opacity,
+        term,
+        width,
+        height,
+        z0,
+        dz,
+        slab,
+        s_begin,
+        s_end,
+        |tet, s_lo, s_hi| {
+            let clip = ColumnClip::new(tet, z0, dz, s_lo, s_hi);
+            move |px, py| clip.slices(px, py)
+        },
+    )
+}
+
+/// The sampling kernel, with each pixel column's slice range left to
+/// `columns`: given a tet and its slice range `[s_lo, s_hi]` in this pass,
+/// it returns the function from a pixel `(px, py)` to the slices the
+/// inside test must visit there (`None` for none). [`sampling_stage`]
+/// passes [`ColumnClip`]; the tests pass the exhaustive range as the oracle.
+#[allow(clippy::too_many_arguments)] // sampling_stage's signature plus `columns`
+fn sample_columns<C: Fn(u32, u32) -> Option<(u32, u32)>>(
+    device: &Device,
+    active: &[u32],
+    screen: &[Option<ScreenTet>],
+    opacity: &[f32],
+    term: f32,
+    width: u32,
+    height: u32,
+    z0: f32,
+    dz: f32,
+    slab: usize,
+    s_begin: u32,
+    s_end: u32,
+    columns: impl Fn(&ScreenTet, u32, u32) -> C + Sync,
 ) -> (Vec<u64>, u64) {
     let n_px = (width * height) as usize;
     let samples: Vec<AtomicU64> = (0..n_px * slab).map(|_| AtomicU64::new(EMPTY)).collect();
@@ -273,6 +326,7 @@ pub(crate) fn sampling_stage(
         if s_lo > s_hi {
             return;
         }
+        let column = columns(tet, s_lo, s_hi);
         let mut tested = 0u64;
         for py in py0..=py1 {
             for px in px0..=px1 {
@@ -281,7 +335,8 @@ pub(crate) fn sampling_stage(
                 if opacity[pix] >= term {
                     continue; // early-termination in the sampler
                 }
-                for sl in s_lo..=s_hi {
+                let Some((c_lo, c_hi)) = column(px, py) else { continue };
+                for sl in c_lo..=c_hi {
                     let zc = z0 + (sl as f32 + 0.5) * dz;
                     let p = Vec3::new(px as f32 + 0.5, py as f32 + 0.5, zc);
                     let r = p - tet.d;
@@ -289,7 +344,6 @@ pub(crate) fn sampling_stage(
                     let l1 = tet.inv[1][0] * r.x + tet.inv[1][1] * r.y + tet.inv[1][2] * r.z;
                     let l2 = tet.inv[2][0] * r.x + tet.inv[2][1] * r.y + tet.inv[2][2] * r.z;
                     let l3 = 1.0 - l0 - l1 - l2;
-                    const EPS: f32 = -1e-5;
                     if l0 >= EPS && l1 >= EPS && l2 >= EPS && l3 >= EPS {
                         let value = tet.s[0] * l0 + tet.s[1] * l1 + tet.s[2] * l2 + tet.s[3] * l3;
                         let slot = pix * slab + (sl - s_begin) as usize;
@@ -306,11 +360,122 @@ pub(crate) fn sampling_stage(
         // ORDERING: Relaxed — commutative statistics counter.
         cells_tested.fetch_add(tested, Ordering::Relaxed);
     });
-    // ORDERING: Relaxed — reads after the for_each joined.
-    let loaded = samples.iter().map(|s| s.load(Ordering::Relaxed)).collect();
-    // ORDERING: Relaxed — read after the for_each joined.
-    let tested = cells_tested.load(Ordering::Relaxed);
+    // The for_each joined, so the atomics are plain values again; unwrapping
+    // them in place reuses the slab's allocation instead of copying it.
+    let loaded = samples.into_iter().map(AtomicU64::into_inner).collect();
+    let tested = cells_tested.into_inner();
     (loaded, tested)
+}
+
+/// One tet's per-column depth clip: for a pixel column, the slices
+/// `[lo, hi] ⊆ [s_lo, s_hi]` outside which the f32 inside test cannot pass.
+///
+/// Along the column each barycentric coordinate is linear in the slice
+/// index, `l_i(sl) = a_i + b_i·sl`, so `l_i ≥ EPS` bounds `sl` from one side
+/// (from neither when `b_i = 0`). The bounds are solved in f64 against a
+/// threshold lowered by an error bound of the f32 evaluation: the rounding
+/// of its products and sums, relative to the magnitudes of their terms,
+/// with a wide safety factor. The one rounding that bound leaves out is of
+/// the slice's depth `zc`, which moves the sample by less than one slice;
+/// rounding the bounds outward to whole slices absorbs it. (A volume so far
+/// from the camera that `zc` could round by more keeps the whole range.)
+/// The f32 test still decides every sample inside the interval, so the
+/// slab is exactly the exhaustive scan's. A coordinate whose terms are not
+/// finite adds no bound.
+struct ColumnClip {
+    /// Rows of the inverse barycentric matrix: `l_i = m[i]·r` for i < 3.
+    m: [[f64; 3]; 3],
+    /// Reference vertex `d` (x, y).
+    d: [f64; 2],
+    /// The part of `a_i` from `r.z` at slice 0's centre.
+    a_z: [f64; 3],
+    /// Slopes `b_i` and their reciprocals; index 3 is `l3 = 1 - l0 - l1 - l2`.
+    b: [f64; 4],
+    inv_b: [f64; 4],
+    /// Bound on `|m[i][2]·r.z|` over the tet's slices.
+    zmag: [f64; 3],
+    /// The tet's slice range in this pass.
+    s_lo: f64,
+    s_hi: f64,
+    /// Every column keeps `[s_lo, s_hi]` (see the type's doc).
+    whole: bool,
+}
+
+impl ColumnClip {
+    fn new(tet: &ScreenTet, z0: f32, dz: f32, s_lo: u32, s_hi: u32) -> ColumnClip {
+        let m = tet.inv.map(|row| row.map(f64::from));
+        let dz = dz as f64;
+        // r.z at slice sl is rz0 + sl·dz; its magnitude peaks at an end.
+        let rz0 = z0 as f64 + 0.5 * dz - tet.d.z as f64;
+        let rz_max = (rz0 + s_lo as f64 * dz).abs().max((rz0 + s_hi as f64 * dz).abs());
+        let zc_max = (z0 as f64).abs().max((z0 as f64 + (s_hi + 1) as f64 * dz).abs());
+        let mut a_z = [0.0; 3];
+        let mut b = [0.0; 4];
+        let mut zmag = [0.0; 3];
+        for i in 0..3 {
+            a_z[i] = m[i][2] * rz0;
+            b[i] = m[i][2] * dz;
+            zmag[i] = (m[i][2] * rz_max).abs();
+            b[3] -= b[i];
+        }
+        ColumnClip {
+            m,
+            d: [tet.d.x as f64, tet.d.y as f64],
+            a_z,
+            b,
+            inv_b: b.map(|b| 1.0 / b),
+            zmag,
+            s_lo: s_lo as f64,
+            s_hi: s_hi as f64,
+            // `zc = z0 + (sl + 0.5)·dz` rounds by at most 1.5·2^-23 of its
+            // largest magnitude: under 3/4 of a slice unless this holds.
+            whole: zc_max * f64::from(f32::EPSILON) >= 0.5 * dz,
+        }
+    }
+
+    /// The slice interval of column `(px, py)`, or `None` when the inside
+    /// test passes nowhere on it.
+    #[inline]
+    fn slices(&self, px: u32, py: u32) -> Option<(u32, u32)> {
+        if self.whole {
+            return Some((self.s_lo as u32, self.s_hi as u32));
+        }
+        let rx = px as f64 + 0.5 - self.d[0];
+        let ry = py as f64 + 0.5 - self.d[1];
+        let mut a = [0.0, 0.0, 0.0, 1.0];
+        let mut mag = [0.0, 0.0, 0.0, 1.0];
+        for i in 0..3 {
+            let (tx, ty) = (self.m[i][0] * rx, self.m[i][1] * ry);
+            a[i] = tx + ty + self.a_z[i];
+            mag[i] = tx.abs() + ty.abs() + self.zmag[i];
+            a[3] -= a[i];
+            mag[3] += mag[i];
+        }
+        // Rounding the tightest bounds outward equals tightening the
+        // rounded ones, so round once, after the loop. `lo ≥ s_lo ≥ 0`, so
+        // truncation is its floor; a negative `hi` rounds up to slice 0 at
+        // worst, which only widens the interval. (f64 floor/ceil are libm
+        // calls on baseline x86-64; this is the hot path.)
+        let (mut lo, mut hi) = (self.s_lo, self.s_hi);
+        for i in 0..4 {
+            if !(a[i].is_finite() && mag[i].is_finite() && self.b[i].is_finite()) {
+                continue;
+            }
+            let thr = EPS as f64 - (1e-4 * mag[i] + 1e-5);
+            let bound = (thr - a[i]) * self.inv_b[i];
+            if self.b[i] > 0.0 {
+                lo = lo.max(bound);
+            } else if self.b[i] < 0.0 {
+                hi = hi.min(bound);
+            } else if a[i] < thr {
+                return None;
+            }
+        }
+        let lo = lo as u32;
+        let hi_down = hi as u32;
+        let hi = hi_down + u32::from((hi_down as f64) < hi);
+        (lo <= hi).then_some((lo, hi))
+    }
 }
 
 /// Compositing stage: fold this pass's samples front-to-back into the
@@ -387,12 +552,11 @@ pub fn render_unstructured(
 ) -> Result<UvrOutput, UvrError> {
     let t_start = std::time::Instant::now();
     let mut phases = PhaseTimer::new();
-    let field = tets
+    let field = &tets
         .field(field_name)
         .filter(|f| f.assoc == Assoc::Point)
         .ok_or_else(|| UvrError::MissingField(field_name.to_string()))?
-        .values
-        .clone();
+        .values;
 
     let buffer_bytes = sample_buffer_bytes(width, height, cfg);
     if let Some(limit) = cfg.memory_limit_bytes {
@@ -423,7 +587,9 @@ pub fn render_unstructured(
 
     // Persistent accumulation state across passes. The *modeled* buffer
     // (`sample_buffer_bytes`, what the paper's GPU allocates) stays 4 B per
-    // sample; the host-side tet-index tag is bookkeeping, not workload.
+    // sample; the host holds one 8 B tagged slot per sample (the tet-index
+    // tag is bookkeeping, not workload), handed from sampling to
+    // compositing without a copy.
     let mut acc: Vec<Color> = vec![Color::TRANSPARENT; n_px];
     let mut ct: u64 = 0;
     let mut total_composited: u64 = 0;
@@ -446,7 +612,7 @@ pub fn render_unstructured(
 
         // --- Screen-space transformation (map over active tets). ---
         let screen: Vec<Option<ScreenTet>> = phases.run("screen_space", m as u64, || {
-            screen_space_stage(device, tets, &field, camera, width, height, &active)
+            screen_space_stage(device, tets, field, camera, width, height, &active)
         });
 
         // --- Sampling (map over active tets, atomic writes). ---
@@ -516,6 +682,7 @@ mod tests {
     use super::*;
     use mesh::datasets::FieldKind;
     use mesh::datasets::TetDatasetSpec;
+    use proptest::prelude::*;
 
     fn small_tets() -> TetMesh {
         TetDatasetSpec { name: "t", cells: [10, 10, 10], kind: FieldKind::ShockShell }.build(1.0)
@@ -674,5 +841,160 @@ mod tests {
         }
         // Two passes => two pass_selection records.
         assert_eq!(out.phases.phases.iter().filter(|p| p.name == "pass_selection").count(), 2);
+    }
+
+    /// xorshift64 stream for the scene generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f32 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 40) as f32 / (1u64 << 24) as f32
+        }
+        fn range(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * self.unit()
+        }
+        fn below(&mut self, n: usize) -> usize {
+            ((self.unit() * n as f32) as usize).min(n - 1)
+        }
+    }
+
+    /// A random screen-space tet of one of six kinds: generic; on a
+    /// half-pixel / eighth-depth grid (samples exactly on faces); with one
+    /// vertex straight above another in depth (a face parallel to the view
+    /// axis, zero slope); the same nudged off vertical (tiny slopes); a
+    /// sliver whose determinant sits near the 1e-12 cutoff; or a face that
+    /// grazes a pixel column at the inside test's threshold.
+    fn random_tet(rng: &mut Rng, side: f32, z0: f32, depth: f32) -> [Vec3; 4] {
+        let point = |rng: &mut Rng| {
+            Vec3::new(rng.range(-2.0, side + 2.0), rng.range(-2.0, side + 2.0), 0.0)
+        };
+        let mut v = [Vec3::ZERO; 4];
+        for p in &mut v {
+            *p = point(rng);
+            p.z = z0 + rng.range(0.0, depth);
+        }
+        match rng.below(6) {
+            0 => {}
+            1 => {
+                for p in &mut v {
+                    p.x = (p.x * 2.0).round() / 2.0;
+                    p.y = (p.y * 2.0).round() / 2.0;
+                    p.z = z0 + ((p.z - z0) / depth * 8.0).round() * depth / 8.0;
+                }
+            }
+            kind @ (2 | 3) => {
+                let j = rng.below(4);
+                let k = (j + 1 + rng.below(3)) % 4;
+                v[j].x = v[k].x;
+                v[j].y = v[k].y;
+                if kind == 3 {
+                    let nudge = 10f32.powf(rng.range(-6.0, -2.0));
+                    v[j].x += nudge * rng.range(-1.0, 1.0);
+                    v[j].y += nudge * rng.range(-1.0, 1.0);
+                }
+            }
+            5 => {
+                // The column of a pixel centre `c` runs just outside one face,
+                // where that face's barycentric coordinate is about EPS; the
+                // face tilts off vertical by a tiny slope, so f32 rounding
+                // decides which of the column's slices pass. In face
+                // coordinates (u along the face, z) the face is the triangle
+                // (-w, lo), (w, lo), (0, hi), which spans the column.
+                let c =
+                    [rng.below(side as usize) as f64 + 0.5, rng.below(side as usize) as f64 + 0.5];
+                let ang = f64::from(rng.range(0.0, std::f32::consts::TAU));
+                let (n, t) = ([ang.cos(), ang.sin()], [-ang.sin(), ang.cos()]);
+                let far = f64::from(rng.range(0.5, 4.0));
+                let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                let tilt = sign * 10f64.powf(f64::from(rng.range(-9.0, -3.0)));
+                let (lo, hi) = (f64::from(z0), f64::from(z0 + depth));
+                let mid = 0.5 * (lo + hi);
+                // l = EPS on the column at depth mid + zeta.
+                let zeta = f64::from(rng.range(-0.5, 0.5) * depth);
+                let off = -f64::from(EPS) * far - tilt * zeta;
+                let w = f64::from(rng.range(1.0, 4.0));
+                let at = |u: f64, z: f64, lift: f64| {
+                    let s = off + tilt * (z - mid) + lift;
+                    let x = c[0] + n[0] * s + t[0] * u;
+                    let y = c[1] + n[1] * s + t[1] * u;
+                    Vec3::new(x as f32, y as f32, z as f32)
+                };
+                v = [at(0.0, mid, far), at(-w, lo, 0.0), at(w, lo, 0.0), at(0.0, hi, 0.0)];
+                v.rotate_left(rng.below(4));
+            }
+            _ => {
+                // Lift the fourth vertex off the plane of the other three by
+                // just enough for |det| = 2·area·h to land near 1e-12.
+                let n = (v[1] - v[0]).cross(v[2] - v[0]);
+                let twice_area = n.length();
+                if twice_area > 0.0 {
+                    let h = 1e-12 * rng.range(0.25, 8.0) / twice_area;
+                    let c = (v[0] + v[1] + v[2]) * (1.0 / 3.0);
+                    v[3] = c + n * (h / twice_area);
+                }
+            }
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The clipped sampler writes exactly the exhaustive scan's slab and
+        /// counts the same tet-pixel columns, on random tets including
+        /// slivers, view-parallel faces, pass boundaries (1, 3 and 8 passes)
+        /// and early-terminated pixels, and on volumes so far from the
+        /// camera that slice depths round by more than a slice.
+        #[test]
+        fn clipped_sampler_matches_exhaustive_scan(seed in any::<u64>()) {
+            let mut rng = Rng(seed | 1);
+            let side = 6 + rng.below(10) as u32;
+            let total = 4 + rng.below(60) as u32;
+            let z0 = [0.5, 3.0, 900.0, 2e5][rng.below(4)];
+            let depth = [0.05, 1.0, 8.0][rng.below(3)];
+            let dz = depth / total as f32;
+            let n = 1 + rng.below(12);
+            let screen: Vec<Option<ScreenTet>> = (0..n)
+                .map(|_| {
+                    let sv = random_tet(&mut rng, side as f32, z0, depth);
+                    let s = [rng.unit(), rng.unit(), rng.unit(), rng.unit()];
+                    ScreenTet::new(sv, s)
+                })
+                .collect();
+            let active: Vec<u32> = (0..n as u32).collect();
+            let term = [0.5, 0.98, 1.1][rng.below(3)];
+            let opacity: Vec<f32> = (0..side * side)
+                .map(|_| if rng.below(4) == 0 { rng.unit() } else { 0.0 })
+                .collect();
+            for passes in [1u32, 3, 8] {
+                let slab = total.div_ceil(passes);
+                for pass in 0..passes {
+                    let (s_begin, s_end) = (pass * slab, ((pass + 1) * slab).min(total));
+                    if s_begin >= s_end {
+                        break;
+                    }
+                    let clipped = sampling_stage(
+                        &Device::Serial, &active, &screen, &opacity, term, side, side, z0, dz,
+                        slab as usize, s_begin, s_end,
+                    );
+                    // The oracle: every slice of the tet's range on every column.
+                    let oracle = sample_columns(
+                        &Device::Serial, &active, &screen, &opacity, term, side, side, z0, dz,
+                        slab as usize, s_begin, s_end,
+                        |_: &ScreenTet, s_lo, s_hi| move |_, _| Some((s_lo, s_hi)),
+                    );
+                    prop_assert_eq!(clipped.1, oracle.1, "tested differs, pass {pass}/{passes}");
+                    prop_assert!(
+                        clipped.0 == oracle.0,
+                        "slab differs at {} of {} slots, pass {pass}/{passes}",
+                        clipped.0.iter().zip(&oracle.0).filter(|(a, b)| a != b).count(),
+                        oracle.0.len()
+                    );
+                }
+            }
+        }
     }
 }
